@@ -69,9 +69,7 @@ def half_pool_budget(catalog) -> float:
 def smoke_tuned_service(database, catalog, feedback, holdout) -> None:
     budget = half_pool_budget(catalog)
     config = ServiceConfig(
-        workers=2,
         queue_depth=256,
-        batch_window_s=0.002,
         advisor=AdvisorConfig(
             max_q_error=MAX_Q_ERROR,
             space_budget_bytes=budget,

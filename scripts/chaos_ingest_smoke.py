@@ -107,7 +107,7 @@ def queries() -> list[str]:
 
 def smoke_ingest_storm(catalog: StatisticsCatalog) -> None:
     """Storm + chaos + 100 TCP queries; quiesce; bit-identical gate."""
-    config = ServiceConfig(workers=2, queue_depth=64, batch_window_s=0.002)
+    config = ServiceConfig(queue_depth=64)
     sample = queries()[:10]
     started = time.monotonic()
 

@@ -99,9 +99,7 @@ def queries() -> list[str]:
 def smoke_chaos(catalog: StatisticsCatalog) -> None:
     """100 queries under the mixed plan; 100 typed answers; clean drain."""
     config = ServiceConfig(
-        workers=2,
         queue_depth=32,
-        batch_window_s=0.002,
         healing=HealingConfig(
             requeue_limit=2,
             breaker_threshold=1_000,  # crashes are version-independent here
@@ -164,7 +162,7 @@ def smoke_chaos(catalog: StatisticsCatalog) -> None:
 
 def smoke_zero_fault_parity(catalog: StatisticsCatalog) -> None:
     """An armed-but-silent plan must not perturb a single bit."""
-    config = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.002)
+    config = ServiceConfig(queue_depth=64)
     sample = queries()[:10]
     with EstimationService(catalog, config=config) as service:
         baseline = [service.estimate(sql, timeout=None) for sql in sample]

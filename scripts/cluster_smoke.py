@@ -71,7 +71,7 @@ def main() -> int:
 
     config = ServiceConfig(
         cluster=ClusterConfig(
-            shards=3, replicas=1, breaker_threshold=1, shard_workers=1
+            shards=3, replicas=1, breaker_threshold=1
         )
     )
     cluster = EstimationCluster(catalog, config=config)

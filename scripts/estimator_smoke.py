@@ -48,7 +48,7 @@ def smoke_backend(catalog: StatisticsCatalog, backend: str) -> None:
     service = EstimationService(
         catalog,
         config=ServiceConfig(
-            workers=2, queue_depth=256, batch_window_s=0.002, backend=backend
+            queue_depth=256, backend=backend
         ),
     )
     with start_in_thread(service, port=0) as handle:

@@ -51,7 +51,7 @@ def smoke_tcp(catalog: StatisticsCatalog) -> None:
     """50 queries through the TCP front-end; every answer well-formed."""
     service = EstimationService(
         catalog,
-        config=ServiceConfig(workers=2, queue_depth=256, batch_window_s=0.002),
+        config=ServiceConfig(queue_depth=256),
     )
     with start_in_thread(service, port=0) as handle:
         host, port = handle.address
@@ -77,7 +77,7 @@ def smoke_tcp(catalog: StatisticsCatalog) -> None:
 def smoke_shed(catalog: StatisticsCatalog) -> None:
     """A burst against a depth-1 queue must shed with typed Overloaded —
     and everything admitted must still be answered."""
-    config = ServiceConfig(workers=1, queue_depth=1, batch_window_s=0.0)
+    config = ServiceConfig(queue_depth=1)
     query = SQL_TEMPLATE.format(low=20, high=40)
     with EstimationService(catalog, config=config) as service:
         shed = 0

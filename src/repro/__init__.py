@@ -25,7 +25,7 @@ The public API is re-exported here; the subpackages are:
 * :mod:`repro.obs` — observability: per-stage tracing, the metrics
   registry, the unified ``StatsSnapshot`` and ``EXPLAIN ESTIMATE``;
 * :mod:`repro.service` — the concurrent estimation-serving subsystem:
-  worker pool + micro-batching + admission control behind
+  one serving thread + natural batching + admission control behind
   :class:`~repro.service.EstimationService`, the asyncio JSON-lines
   server (``python -m repro serve``) and the one client entrypoint
   :func:`~repro.service.connect`;

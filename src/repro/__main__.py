@@ -23,9 +23,9 @@ Commands
     (``--update-table``) and run an incremental refresh (``--method
     full|sampled``, ``--budget N``), or print the lifecycle status block.
 ``serve``
-    Start the concurrent estimation server (``repro.service``): a
-    worker pool with micro-batching, admission control and hot snapshot
-    swap behind an asyncio JSON-lines TCP front-end.  ``--shards N``
+    Start the concurrent estimation server (``repro.service``): one
+    serving thread with natural batching, admission control and hot
+    snapshot swap behind an asyncio JSON-lines TCP front-end.  ``--shards N``
     (or a ``--config`` file with a ``cluster`` block) serves through
     the multi-process tier (``repro.cluster``) instead: N shard
     processes over one shared-memory snapshot behind the consistent-
@@ -361,9 +361,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, host=args.host, port=args.port)
     else:
         config = ServiceConfig(
-            workers=args.workers,
             queue_depth=args.queue_depth,
-            batch_window_s=args.batch_window_ms / 1000.0,
             max_batch=args.max_batch,
             host=args.host,
             port=args.port,
@@ -373,7 +371,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "--shards supports only --backend sit (shards serve from "
                 "a row-free stats snapshot; the bn/sample backends build "
-                "from rows) — drop --shards and scale with --workers"
+                "from rows) — drop --shards to serve it single-process"
             )
         config = dataclasses.replace(config, backend=args.backend)
     if args.shards:
@@ -381,8 +379,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config,
             cluster=ClusterConfig(shards=args.shards, replicas=args.replicas),
         )
-    # arm the chaos plan before the workers spin up so every injection
-    # point on the serving path (snapshot pin, SIT match, histogram
+    # arm the chaos plan before the serving thread starts so every
+    # injection point on the serving path (snapshot pin, SIT match, histogram
     # join, worker batch) is live for the server's whole life
     if fault_plan is not None:
         arm(fault_plan)
@@ -405,12 +403,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tier = (
                 f"{config.cluster.shards} shards"
                 if config.cluster is not None
-                else f"{config.workers} workers"
+                else "one serving thread"
             )
             print(
                 f"serving {len(catalog)} SITs on {host}:{port} "
                 f"({tier}, queue {config.queue_depth}, "
-                f"batch window {config.batch_window_s * 1000.0}ms) "
+                f"batches of up to {config.max_batch}) "
                 "— Ctrl-C to drain",
                 file=sys.stderr,
                 flush=True,
@@ -593,21 +591,11 @@ def main(argv: list[str] | None = None) -> int:
         "--port", type=int, default=8642, help="0 picks an ephemeral port"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="estimation worker threads"
-    )
-    serve.add_argument(
         "--queue-depth",
         type=int,
         default=256,
         dest="queue_depth",
         help="admission-queue bound; beyond it requests are shed",
-    )
-    serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        dest="batch_window_ms",
-        help="micro-batch coalescing window",
     )
     serve.add_argument(
         "--max-batch", type=int, default=32, dest="max_batch"
@@ -617,7 +605,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=("sit", "bn", "sample"),
         default="sit",
         help=(
-            "estimator backend worker sessions answer with (default: "
+            "estimator backend the serving session answers with (default: "
             "sit; the only backend --shards supports)"
         ),
     )

@@ -38,7 +38,7 @@ Gates (reported in the block, non-zero exit on failure):
 * ``coalesce_ratio`` >= 2 — the storm really coalesced;
 * storm-phase p95 serving latency <= ``latency_budget_ms`` (idle p95
   x 5 + 20 ms — generous because a 1-core container serializes the
-  apply thread against the serving workers);
+  apply thread against the serving thread);
 * conservation — accepted events all applied, tracker quiesced.
 """
 
@@ -110,10 +110,10 @@ def run(
     rng = random.Random(seed)
     stream = [rng.choice(queries) for _ in range(requests)]
     tables = sorted(catalog.database.tables)
-    config = ServiceConfig(workers=1, queue_depth=max(256, requests))
+    config = ServiceConfig(queue_depth=max(256, requests))
 
     with EstimationService(catalog, config=config) as service:
-        for query in queries:  # warm the worker session off the clock
+        for query in queries:  # warm the serving session off the clock
             service.estimate(query, timeout=None)
         idle_latencies, _ = _serve(service, stream)
 

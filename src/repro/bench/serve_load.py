@@ -11,8 +11,10 @@ pattern where many concurrent estimations share decomposition factors):
     the batched service must beat;
 ``closed_loop``
     ``--clients`` threads drive the service synchronously (each submits,
-    waits, submits again).  Micro-batching coalesces the concurrent
-    requests; identical queries in one batch are answered by one DP run;
+    waits, submits again).  The service's one serving thread batches
+    whatever queued up while it served the previous batch, without
+    waiting for more; identical queries in one batch are answered by one
+    DP run;
 ``open_loop``
     requests arrive at a fixed rate (default: 4x the measured baseline
     QPS) against a deliberately small queue — the overload regime.
@@ -147,8 +149,6 @@ def run_closed_loop(
     catalog: StatisticsCatalog,
     stream: list[Query],
     clients: int,
-    workers: int,
-    batch_window_s: float,
     pipeline: int = 8,
 ) -> dict:
     """``clients`` synchronous threads against the batched service.
@@ -159,18 +159,13 @@ def run_closed_loop(
     candidate plans before it needs the first answer.  Latency is still
     measured per request, submit to completion.
     """
-    config = ServiceConfig(
-        workers=workers,
-        queue_depth=max(256, len(stream)),
-        batch_window_s=batch_window_s,
-        max_batch=64,
-    )
+    config = ServiceConfig(queue_depth=max(256, len(stream)), max_batch=64)
     shards: list[list[Query]] = [stream[i::clients] for i in range(clients)]
     latencies_by_client: list[list[float]] = [[] for _ in range(clients)]
     errors: list[BaseException] = []
 
     with EstimationService(catalog, config=config) as service:
-        # warm the worker's session off the clock (same treatment as
+        # warm the serving session off the clock (same treatment as
         # the baseline's warm-up pass)
         for query in _distinct(stream):
             service.estimate(query)
@@ -214,7 +209,6 @@ def run_closed_loop(
     service_ns = dict(snapshot.service)
     return {
         "clients": clients,
-        "workers": workers,
         "pipeline": pipeline,
         "requests": len(latencies),
         "seconds": elapsed,
@@ -234,16 +228,10 @@ def run_open_loop(
     catalog: StatisticsCatalog,
     stream: list[Query],
     rate_qps: float,
-    workers: int,
     queue_depth: int,
 ) -> dict:
     """Fixed-rate arrivals against a small queue: the overload regime."""
-    config = ServiceConfig(
-        workers=workers,
-        queue_depth=queue_depth,
-        batch_window_s=0.001,
-        max_batch=64,
-    )
+    config = ServiceConfig(queue_depth=queue_depth, max_batch=64)
     interval = 1.0 / rate_qps if rate_qps > 0 else 0.0
     futures = []
     shed = 0
@@ -295,7 +283,7 @@ def _drive_cluster(
     pipeline: int = 8,
 ) -> dict:
     """Closed loop through an :class:`~repro.cluster.EstimationCluster`
-    of ``shards`` single-worker shard processes."""
+    of ``shards`` shard processes."""
     from repro.cluster import EstimationCluster
     from repro.service import ClusterConfig
 
@@ -303,7 +291,6 @@ def _drive_cluster(
         queue_depth=max(256, len(stream)),
         cluster=ClusterConfig(
             shards=shards,
-            shard_workers=1,
             # hedging off for the throughput measurement: a hedge doubles
             # the work of the slowest tail, which is honest for latency
             # but noise when comparing shard counts
@@ -414,8 +401,6 @@ def run(
     distinct: int = 4,
     requests: int = 400,
     clients: int = 16,
-    workers: int = 1,
-    batch_window_ms: float = 1.0,
     overload_queue_depth: int = 8,
     cluster_shards: int = 0,
 ) -> dict:
@@ -423,7 +408,7 @@ def run(
     stream = request_stream(queries, requests, seed)
     del database
 
-    # Bench-scoped: shrink the GIL switch interval so worker wake-ups
+    # Bench-scoped: shrink the GIL switch interval so serving-thread wake-ups
     # (future completions) propagate promptly instead of waiting out the
     # default 5ms scheduling quantum.  Restored before returning.
     previous_switch_interval = sys.getswitchinterval()
@@ -437,8 +422,6 @@ def run(
             distinct=distinct,
             requests=requests,
             clients=clients,
-            workers=workers,
-            batch_window_ms=batch_window_ms,
             overload_queue_depth=overload_queue_depth,
             cluster_shards=cluster_shards,
         )
@@ -455,8 +438,6 @@ def _run_regimes(
     distinct: int,
     requests: int,
     clients: int,
-    workers: int,
-    batch_window_ms: float,
     overload_queue_depth: int,
     cluster_shards: int = 0,
 ) -> dict:
@@ -467,9 +448,7 @@ def _run_regimes(
     )
     baseline = run_baseline(catalog, stream)
     print(f"baseline:    {baseline['qps']:8.1f} qps", file=sys.stderr)
-    closed = run_closed_loop(
-        catalog, stream, clients, workers, batch_window_ms / 1000.0
-    )
+    closed = run_closed_loop(catalog, stream, clients)
     closed["speedup_vs_baseline"] = (
         closed["qps"] / baseline["qps"] if baseline["qps"] else 0.0
     )
@@ -483,7 +462,6 @@ def _run_regimes(
         catalog,
         stream,
         rate_qps=4.0 * baseline["qps"],
-        workers=workers,
         queue_depth=overload_queue_depth,
     )
     print(
@@ -526,10 +504,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--distinct", type=int, default=4)
     parser.add_argument("--requests", type=int, default=400)
     parser.add_argument("--clients", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--batch-window-ms", type=float, default=1.0, dest="batch_window_ms"
-    )
     parser.add_argument(
         "--cluster",
         action="store_true",
@@ -551,8 +525,6 @@ def main(argv: list[str] | None = None) -> int:
         distinct=args.distinct,
         requests=args.requests,
         clients=args.clients,
-        workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
         cluster_shards=args.shards if args.cluster else 0,
     )
     output = pathlib.Path(args.output)

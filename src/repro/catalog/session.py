@@ -60,6 +60,11 @@ from repro.stats.pool import SITPool
 
 from repro.catalog.catalog import CatalogSnapshot, StatisticsCatalog
 
+#: cumulative plan-cache counts, emitted as counters so that merging the
+#: registries of several sessions (a service's current and retired ones)
+#: sums them instead of keeping the last session's value
+_PLAN_CACHE_TOTALS = frozenset({"hits", "misses", "compiles", "evictions"})
+
 
 def _pin_snapshot(statistics) -> tuple[SITPool, CatalogSnapshot | None]:
     """Resolve a catalog / snapshot / bare pool into (pool, snapshot)."""
@@ -419,7 +424,10 @@ class EstimationSession:
         cache = self.plan_cache
         if cache is not None:
             for key, value in cache.stats_namespace().items():
-                gauge(f"plan_cache.{key}").set(float(value))
+                if key in _PLAN_CACHE_TOTALS:
+                    counter(f"plan_cache.{key}").inc(value)
+                else:
+                    gauge(f"plan_cache.{key}").set(value)
         return registry
 
     def stats_snapshot(self) -> StatsSnapshot:

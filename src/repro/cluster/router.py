@@ -344,14 +344,9 @@ class EstimationCluster:
         return StatisticsCatalog.from_pool(statistics, database=database)
 
     def _shard_config(self) -> ServiceConfig:
-        """The child-process service config: the router's knobs with the
-        per-shard worker count and no nested cluster (shards are leaves)."""
-        return dataclasses.replace(
-            self.config,
-            workers=self.config.cluster.shard_workers,
-            cluster=None,
-            port=0,
-        )
+        """The child-process service config: the router's knobs with no
+        nested cluster (shards are leaves)."""
+        return dataclasses.replace(self.config, cluster=None, port=0)
 
     def _spawn_shard(self, member: int):
         """Start one child process and dial its bootstrap-reported port."""
@@ -984,7 +979,6 @@ class EstimationCluster:
                 "shards": cluster.shards,
                 "replicas": cluster.replicas,
                 "ring_points": cluster.ring_points,
-                "shard_workers": cluster.shard_workers,
             },
         )
 

@@ -295,6 +295,20 @@ class GetSelectivity:
     def memo_bank_size(self) -> int:
         return len(self._memo_bank) if self._memo_bank is not None else 0
 
+    def solved(self, mask: int) -> "EstimationResult | None":
+        """The solved sub-problem ``mask``: the memo entry, else the bank
+        entry while the bank is current.  ``_solve`` copies a banked
+        answer into the memo without its sub-entries, so a walk down the
+        DP tree (:func:`repro.core.plancache.compile_plan`) finds those
+        only in the bank."""
+        result = self._memo.get(mask)
+        bank = self._memo_bank
+        if result is None and bank is not None:
+            version = self.pool.version if self.pool is not None else 0
+            if version == self._memo_bank_version:
+                result = bank.get(mask)
+        return result
+
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear per-query state: memo, call counter, timing accumulators

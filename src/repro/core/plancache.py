@@ -455,7 +455,8 @@ def compile_plan(
 ) -> CompiledPlan | None:
     """Freeze a level-0 DP result into a :class:`CompiledPlan`.
 
-    Walks the DP memo to recover the exact multiplication tree the
+    Walks the DP memo (and, for sub-problems answered from it, the
+    cross-query memo bank) to recover the exact multiplication tree the
     result's selectivity was computed through, compiles each conditional
     factor, then self-verifies the plan by replaying it against the very
     predicates it was compiled from — any mismatch returns ``None`` (no
@@ -466,13 +467,12 @@ def compile_plan(
     fingerprint, ordered = shape_fingerprint(predicates)
     position_of = {p: i for i, p in enumerate(ordered)}
     universe = algorithm.universe
-    memo = algorithm._memo
     templates: list[_FactorTemplate] = []
 
     def build(mask: int) -> tuple | None:
         if not mask:
             return None
-        node_result = memo.get(mask)
+        node_result = algorithm.solved(mask)
         if node_result is None:
             raise PlanCompileError("memo entry missing")
         components = universe.components(mask)

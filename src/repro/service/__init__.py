@@ -13,8 +13,8 @@ Layering (queue → batch → worker → snapshot swap; DESIGN.md §9):
 * :mod:`repro.service.queue` — the bounded
   :class:`~repro.service.queue.AdmissionQueue` (shed-on-full admission,
   coalescing batch pops);
-* :mod:`repro.service.service` — :class:`EstimationService`: the worker
-  pool with micro-batching, deadlines, graceful drain and hot snapshot
+* :mod:`repro.service.service` — :class:`EstimationService`: one
+  serving thread with natural batching, deadlines, graceful drain and hot snapshot
   swap over :class:`~repro.catalog.StatisticsCatalog`;
 * :mod:`repro.service.server` — the asyncio JSON-lines TCP front-end
   (``python -m repro serve``);

@@ -4,7 +4,7 @@ The kwarg sprawl of the original flat ``ServiceConfig`` is split into
 composable frozen dataclasses:
 
 * :class:`ServiceConfig` — the request path of one
-  :class:`~repro.service.EstimationService` (workers, queue, batching,
+  :class:`~repro.service.EstimationService` (queue, batching,
   deadlines, bind address);
 * :class:`HealingConfig` — the self-healing knobs from
   :mod:`repro.resilience` (circuit breaker, requeue and restart
@@ -19,27 +19,17 @@ composable frozen dataclasses:
 
 Every layer validates in ``__post_init__`` and round-trips through
 ``from_dict`` / ``to_dict`` so a whole deployment fits in one JSON file
-(``python -m repro serve --config cluster.json``).
-
-The old flat spelling (``ServiceConfig(breaker_threshold=5, ...)``) is
-accepted for one release through a :class:`DeprecationWarning` shim that
-folds the healing knobs into a nested :class:`HealingConfig`; the flat
-attribute reads (``config.breaker_threshold``) keep working the same
-way.
+(``python -m repro serve --config cluster.json``); an unknown key is a
+``ValueError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.advisor.config import AdvisorConfig
-
-
-def _deprecated(message: str) -> None:
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -104,8 +94,6 @@ class ClusterConfig:
     min_hedge_delay_s: float = 0.010
     #: virtual nodes per shard on the consistent-hash ring
     ring_points: int = 64
-    #: worker threads inside each shard process
-    shard_workers: int = 1
     #: shard faults inside ``breaker_window_s`` before the router ejects
     #: the shard from the ring (its keyspace spills to ring neighbors)
     breaker_threshold: int = 3
@@ -131,8 +119,6 @@ class ClusterConfig:
             raise ValueError("min_hedge_delay_s must be >= 0")
         if self.ring_points < 1:
             raise ValueError("ring_points must be >= 1")
-        if self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_window_s <= 0:
@@ -150,16 +136,6 @@ class ClusterConfig:
         return cls(**_known_fields(cls, data))
 
 
-#: flat ServiceConfig kwargs that moved into the nested HealingConfig
-#: (accepted one release through the DeprecationWarning shim)
-_LEGACY_HEALING_KWARGS = (
-    "breaker_threshold",
-    "breaker_window_s",
-    "requeue_limit",
-    "max_worker_restarts",
-)
-
-
 def _known_fields(cls, data: Mapping[str, Any]) -> dict:
     names = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - names)
@@ -172,23 +148,18 @@ def _known_fields(cls, data: Mapping[str, Any]) -> dict:
 class ServiceConfig:
     """Knobs of one :class:`repro.service.EstimationService`.
 
-    The defaults target an interactive optimizer inner loop: small
-    batching window (latency bound), a queue deep enough to ride out
-    bursts, and explicit load shedding rather than unbounded buffering.
+    The defaults target an interactive optimizer inner loop: one
+    serving thread that batches whatever is queued without waiting for
+    more, a queue deep enough to ride out bursts, and explicit load
+    shedding rather than unbounded buffering.
     Self-healing knobs live in :attr:`healing`; the multi-process tier
     (when enabled) in :attr:`cluster`.
     """
 
-    #: worker threads; each owns a snapshot-pinned
-    #: :class:`~repro.catalog.EstimationSession`
-    workers: int = 2
     #: admission-queue depth; a submit beyond this is shed with
     #: :class:`~repro.service.protocol.Overloaded`
     queue_depth: int = 256
-    #: how long a worker lingers after the first dequeued request to
-    #: coalesce more of the queue into one micro-batch (seconds)
-    batch_window_s: float = 0.002
-    #: the most requests one micro-batch may carry
+    #: the most queued requests one micro-batch may carry
     max_batch: int = 32
     #: default per-request deadline (seconds; ``None`` = no deadline)
     default_timeout_s: float | None = None
@@ -199,15 +170,15 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: server port (0 = ephemeral, the bound port is reported)
     port: int = 8642
-    #: estimation backend worker sessions are built with
+    #: estimation backend the serving session is built with
     #: (:data:`repro.estimators.BACKENDS`: ``"sit"``, ``"bn"``,
     #: ``"sample"``).  The cluster tier is SIT-only: shards attach a
     #: stats-only shared-memory snapshot (histogram arrays, no rows)
     #: and the bn/sample backends build their models from rows, so
     #: ``cluster`` + a non-SIT backend is rejected at validation
     backend: str = "sit"
-    #: compiled-plan cache (:mod:`repro.core.plancache`) in worker
-    #: sessions: template hits replay in microseconds and same-shape
+    #: compiled-plan cache (:mod:`repro.core.plancache`) in the serving
+    #: session: template hits replay in microseconds and same-shape
     #: batch members are served by one stacked numpy op.  Replay is
     #: bit-identical, so disabling this only trades latency for nothing —
     #: the knob exists for measurement and for custom error functions
@@ -224,14 +195,10 @@ class ServiceConfig:
     advisor: AdvisorConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         if self.default_timeout_s is not None and self.default_timeout_s <= 0:
             raise ValueError("default_timeout_s must be > 0 (or None)")
         if self.drain_timeout_s < 0:
@@ -262,43 +229,8 @@ class ServiceConfig:
                 f"attach a stats-only shared-memory snapshot (histogram "
                 f"arrays, no rows) and the {self.backend!r} backend "
                 f"builds its models from rows — serve it single-process "
-                f"(workers=N) instead"
+                "instead"
             )
-
-    # ------------------------------------------------------------------
-    # Deprecated flat views of the nested healing knobs (one release)
-    # ------------------------------------------------------------------
-    @property
-    def breaker_threshold(self) -> int:
-        _deprecated(
-            "ServiceConfig.breaker_threshold is deprecated; read "
-            "config.healing.breaker_threshold"
-        )
-        return self.healing.breaker_threshold
-
-    @property
-    def breaker_window_s(self) -> float:
-        _deprecated(
-            "ServiceConfig.breaker_window_s is deprecated; read "
-            "config.healing.breaker_window_s"
-        )
-        return self.healing.breaker_window_s
-
-    @property
-    def requeue_limit(self) -> int:
-        _deprecated(
-            "ServiceConfig.requeue_limit is deprecated; read "
-            "config.healing.requeue_limit"
-        )
-        return self.healing.requeue_limit
-
-    @property
-    def max_worker_restarts(self) -> int:
-        _deprecated(
-            "ServiceConfig.max_worker_restarts is deprecated; read "
-            "config.healing.max_worker_restarts"
-        )
-        return self.healing.max_worker_restarts
 
     # ------------------------------------------------------------------
     # Serialization
@@ -318,11 +250,7 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        """Build a config from its nested-dict form.
-
-        Flat healing keys (the pre-layering spelling) are accepted with
-        a :class:`DeprecationWarning`, exactly like the kwarg shim.
-        """
+        """Build a config from its nested-dict form."""
         data = dict(data)
         healing = data.pop("healing", None)
         if isinstance(healing, Mapping):
@@ -333,21 +261,6 @@ class ServiceConfig:
         advisor = data.pop("advisor", None)
         if isinstance(advisor, Mapping):
             advisor = AdvisorConfig.from_dict(advisor)
-        legacy = {
-            key: data.pop(key)
-            for key in _LEGACY_HEALING_KWARGS
-            if key in data
-        }
-        if legacy:
-            _deprecated(
-                "flat healing keys in ServiceConfig.from_dict are "
-                "deprecated; nest them under 'healing'"
-            )
-            if healing is not None:
-                raise ValueError(
-                    "both nested 'healing' and flat healing keys given"
-                )
-            healing = HealingConfig(**legacy)
         kwargs = _known_fields(cls, data)
         if healing is not None:
             kwargs["healing"] = healing
@@ -356,40 +269,6 @@ class ServiceConfig:
         if advisor is not None:
             kwargs["advisor"] = advisor
         return cls(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# Legacy flat-kwarg shim: ServiceConfig(breaker_threshold=..., ...) keeps
-# constructing (with a DeprecationWarning) for one release by folding
-# the flat knobs into the nested HealingConfig.
-# ----------------------------------------------------------------------
-_dataclass_init = ServiceConfig.__init__
-
-
-def _shimmed_init(self, *args, **kwargs) -> None:
-    legacy = {
-        key: kwargs.pop(key)
-        for key in _LEGACY_HEALING_KWARGS
-        if key in kwargs
-    }
-    if legacy:
-        warnings.warn(
-            "flat ServiceConfig healing kwargs "
-            f"({', '.join(sorted(legacy))}) are deprecated; pass "
-            "healing=HealingConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if "healing" in kwargs:
-            raise TypeError(
-                "pass either healing=HealingConfig(...) or the flat "
-                "legacy kwargs, not both"
-            )
-        kwargs["healing"] = HealingConfig(**legacy)
-    _dataclass_init(self, *args, **kwargs)
-
-
-ServiceConfig.__init__ = _shimmed_init  # type: ignore[method-assign]
 
 
 __all__ = ["ClusterConfig", "HealingConfig", "ServiceConfig"]

@@ -1,4 +1,4 @@
-"""The bounded admission queue feeding the worker pool.
+"""The bounded admission queue feeding the serving thread.
 
 ``queue.Queue`` cannot express the two things the serving layer needs —
 *reject-don't-block* admission and *coalescing* batch pops — so this is
@@ -7,10 +7,11 @@ a small condition-variable queue purpose-built for them:
 * :meth:`offer` is non-blocking admission control: it returns ``False``
   the instant the queue is at depth (the caller sheds with a typed
   ``Overloaded``), never buffering beyond the bound;
-* :meth:`take_batch` blocks until at least one item arrives, then
-  lingers up to the micro-batch window to coalesce whatever else the
-  queue holds (bounded by ``max_batch``), which is what makes
-  cross-request factor sharing pay.
+* :meth:`take_batch` blocks until at least one item arrives, takes
+  whatever else the queue holds (bounded by ``max_batch``), which is
+  what makes cross-request factor sharing pay, and optionally lingers
+  for stragglers (the service passes ``0``; the ingest pipeline
+  coalesces update events over its ``coalesce_window_s``).
 """
 
 from __future__ import annotations

@@ -4,22 +4,23 @@
 :class:`~repro.catalog.EstimationSession` into a request path:
 
 * a **bounded admission queue** (:class:`~repro.service.queue.AdmissionQueue`)
-  in front of a **worker-thread pool**; every worker owns one
-  snapshot-pinned session, so the session single-owner contract holds by
+  in front of **one serving thread**, which owns one snapshot-pinned
+  session at a time, so the session single-owner contract holds by
   construction;
-* **micro-batching** — a worker coalesces up to ``max_batch`` queued
-  requests per tick.  Within a batch, requests with the *same* predicate
-  set are answered by one DP run (dedup), and requests that merely
-  *share decomposition factors* reuse the session's pool-pure
-  match/estimate caches, so a batch of similar queries costs far less
-  than N isolated calls;
+* **natural batching** — the thread takes whatever is queued, up to
+  ``max_batch``, without waiting for more: requests that arrive while a
+  batch is being served form the next one.  Within a batch, requests
+  with the *same* predicate set are answered by one DP run (dedup), and
+  requests that merely *share decomposition factors* reuse the session's
+  pool-pure match/estimate caches, so a batch of similar queries costs
+  far less than N isolated calls;
 * **admission control** — a full queue sheds immediately with the typed
   :class:`~repro.service.protocol.Overloaded`; per-request deadlines are
   enforced at dequeue (:class:`~repro.service.protocol.DeadlineExceeded`)
-  so a backlogged worker never burns DP time on answers nobody is
+  so a backlogged thread never burns DP time on answers nobody is
   waiting for; :meth:`close` drains gracefully and flushes whatever
   cannot be served with :class:`~repro.service.protocol.ServiceClosed`;
-* **hot snapshot swap** — between batches every worker compares its
+* **hot snapshot swap** — between batches the thread compares its
   session's pinned version with ``catalog.version`` and rolls to a
   fresh session on mismatch.  In-flight batches keep their pinned
   snapshot (the catalog is copy-on-write), which extends the catalog's
@@ -30,7 +31,8 @@
 Observability: queue-depth gauge, served/shed counters, batch and
 snapshot-swap counters, and a p50/p95/p99-capable latency histogram —
 all under the ``service`` namespace of :meth:`stats_snapshot`, with the
-workers' session telemetry merged in under the usual namespaces.
+session telemetry (current and retired) merged in under the usual
+namespaces.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class _Pending:
     #: filled by the worker for telemetry assertions in tests
     batch_size: int = field(default=1, compare=False)
     #: times this request was re-queued after a worker crash (bounded by
-    #: ``ServiceConfig.requeue_limit``)
+    #: ``HealingConfig.requeue_limit``)
     requeues: int = field(default=0, compare=False)
 
     def expired(self, now: float) -> bool:
@@ -87,7 +89,12 @@ class _Pending:
 
 
 class EstimationService:
-    """A thread-pooled, micro-batching front end over ``getSelectivity``.
+    """A single-threaded, naturally batching front end over
+    ``getSelectivity``.
+
+    Estimation is Python-bound, so a second serving thread would add no
+    parallel estimation — only a second session whose plan and match
+    caches fill separately.
 
     ``statistics`` may be a :class:`~repro.catalog.StatisticsCatalog`
     (hot snapshot swap active), a fixed
@@ -128,12 +135,14 @@ class EstimationService:
         self._draining = threading.Event()
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
-        self._sessions: list[EstimationSession] = []
+        #: the serving thread's current session (``None`` between a
+        #: crash and the next pin)
+        self._session: EstimationSession | None = None
         #: telemetry of retired sessions, folded in at retirement so the
         #: session objects (and their pinned pools) can be released — see
         #: :meth:`_retire_session`
         self._retired_registry = MetricsRegistry()
-        self._sessions_lock = threading.Lock()
+        self._session_lock = threading.Lock()
         # -- self-healing state (repro.resilience) ----------------------
         self._breaker = CircuitBreaker(
             threshold=self.config.healing.breaker_threshold,
@@ -154,7 +163,7 @@ class EstimationService:
         self._tuning_lock = threading.Lock()
         #: optional :class:`repro.obs.StalenessTracker` joined by the
         #: ingest pipeline (see :meth:`attach_staleness`); when present,
-        #: worker sessions stamp answers with ``staleness_s`` provenance
+        #: the serving session stamps answers with ``staleness_s`` provenance
         self.staleness_tracker = None
         if (
             self.config.advisor is not None
@@ -168,17 +177,10 @@ class EstimationService:
                 config=self.config.advisor,
                 name=f"{name}-advisor",
             )
-        self._workers_lock = threading.Lock()
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                name=f"{name}-worker-{index}",
-                daemon=True,
-            )
-            for index in range(self.config.workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._worker = threading.Thread(
+            target=self._worker_loop, name=f"{name}-worker", daemon=True
+        )
+        self._worker.start()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -198,7 +200,7 @@ class EstimationService:
         snapshot, or the last-known-good one while the breaker holds the
         current version bad (the rollback half of the circuit breaker)."""
         if self._catalog is not None:
-            with self._sessions_lock:
+            with self._session_lock:
                 bad = self._catalog.version in self._bad_versions
                 last_good = self._last_good
             if bad and last_good is not None:
@@ -219,8 +221,8 @@ class EstimationService:
             session.feedback_sink = self.advisor.record_result
         if self.staleness_tracker is not None:
             session.staleness_tracker = self.staleness_tracker
-        with self._sessions_lock:
-            self._sessions.append(session)
+        with self._session_lock:
+            self._session = session
         return session
 
     def _acquire_session(self) -> EstimationSession | None:
@@ -228,7 +230,7 @@ class EstimationService:
 
         A pin fault (injected or real) is retried against the
         last-known-good snapshot; after three faulted attempts the
-        worker gives up (``None``) and lets the restart budget decide.
+        thread gives up (``None``) and lets the restart budget decide.
         """
         for attempt in range(3):
             try:
@@ -242,7 +244,7 @@ class EstimationService:
             self.metrics.counter(f"resilience.faults_{fault.kind}").inc()
 
     def _retire_session(self, session: EstimationSession) -> None:
-        """Drop a session from rotation *and from memory*.
+        """Drop a session from service *and from memory*.
 
         Its lifetime telemetry is folded into ``_retired_registry`` so
         ``stats_snapshot`` keeps the totals, while the session object —
@@ -252,9 +254,9 @@ class EstimationService:
         had ever served.)
         """
         registry = session.metrics_registry()
-        with self._sessions_lock:
-            if session in self._sessions:
-                self._sessions.remove(session)
+        with self._session_lock:
+            if self._session is session:
+                self._session = None
             self._retired_registry.merge(registry)
 
     # ------------------------------------------------------------------
@@ -345,50 +347,60 @@ class EstimationService:
         return self.estimate(query, timeout=timeout).cardinality
 
     # ------------------------------------------------------------------
-    # Worker pool
+    # The serving thread
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
+        """Serve batches until the queue closes or the restart budget is
+        spent.
+
+        The thread takes whatever is queued, up to ``max_batch``, without
+        lingering for more.  After a fault — or a failure to pin any
+        snapshot — it spends one restart and pins a fresh session.
+        """
         session = self._acquire_session()
-        if session is None:
-            # could not pin any snapshot; let the restart budget decide
-            self._respawn_worker()
-            return
-        config = self.config
         while True:
-            batch = self._queue.take_batch(
-                config.max_batch, config.batch_window_s
-            )
-            if not batch:
-                if self._queue.closed:
-                    self._retire_session(session)
+            if session is None:
+                if not self._restart():
                     return
+                session = self._acquire_session()
                 continue
-            rolled = self._roll_snapshot(session)
-            if rolled is None:
-                # snapshot-pin faults exhausted while rolling: treat the
-                # batch as orphaned and crash-restart this worker
-                self._handle_worker_crash(session, batch, None)
-                self._respawn_worker()
+            batch = self._queue.take_batch(self.config.max_batch, 0)
+            if batch:
+                session = self._serve_or_heal(session, batch)
+            elif self._queue.closed:
+                self._retire_session(session)
                 return
-            session = rolled
-            try:
-                self._serve_batch(session, batch)
-            except EstimationFault as fault:
-                # a worker-level fault (injected or real): requeue the
-                # orphaned requests, record against the breaker, retire
-                # the session, and resurrect the worker
-                self._handle_worker_crash(session, batch, fault)
-                self._respawn_worker()
-                return
-            except BaseException as exc:  # pragma: no cover - safety net
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            ServiceError(f"worker failure: {exc}")
-                        )
-            else:
-                self._note_good_snapshot(session)
-                self._maybe_tune()
+
+    def _serve_or_heal(
+        self, session: EstimationSession, batch: list[_Pending]
+    ) -> EstimationSession | None:
+        """Serve one batch on the target snapshot and return the session
+        to keep serving with — ``None`` after a worker-level fault, whose
+        batch :meth:`_handle_worker_crash` has salvaged."""
+        rolled = self._roll_snapshot(session)
+        if rolled is None:
+            # snapshot-pin faults exhausted while rolling: treat the batch
+            # as orphaned, exactly like a crash
+            self._handle_worker_crash(session, batch, None)
+            return None
+        try:
+            self._serve_batch(rolled, batch)
+        except EstimationFault as fault:
+            # a worker-level fault (injected or real): requeue the
+            # orphaned requests, record against the breaker and retire
+            # the session
+            self._handle_worker_crash(rolled, batch, fault)
+            return None
+        except BaseException as exc:  # pragma: no cover - safety net
+            for pending in batch:
+                if not pending.future.done():
+                    pending.future.set_exception(
+                        ServiceError(f"worker failure: {exc}")
+                    )
+        else:
+            self._note_good_snapshot(rolled)
+            self._maybe_tune()
+        return rolled
 
     def _maybe_tune(self) -> None:
         """Between batches: kick one background tuning tick if due.
@@ -428,13 +440,13 @@ class EstimationService:
     def attach_staleness(self, tracker) -> None:
         """Join a :class:`repro.obs.StalenessTracker` (fed by the ingest
         pipeline) so every answer carries ``staleness_s`` provenance for
-        the tables it touched.  Live worker sessions pick the tracker up
+        the tables it touched.  The live session picks the tracker up
         immediately; new sessions inherit it at construction.  Also
         forwarded to the serving catalog for ``status()`` reporting."""
         self.staleness_tracker = tracker
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        with self._session_lock:
+            session = self._session
+        if session is not None:
             session.staleness_tracker = tracker
         if self._catalog is not None and hasattr(
             self._catalog, "attach_staleness"
@@ -455,12 +467,12 @@ class EstimationService:
             return advisor.tick()
 
     def _expected_version(self) -> int | None:
-        """The snapshot version a worker *should* be pinned to right now:
+        """The snapshot version the session *should* be pinned to now:
         the catalog's current version, or — while the breaker holds that
         version bad — the last-known-good version."""
         if self._catalog is None:
             return None
-        with self._sessions_lock:
+        with self._session_lock:
             version = self._catalog.version
             if version in self._bad_versions and self._last_good is not None:
                 return self._last_good.version
@@ -473,9 +485,9 @@ class EstimationService:
         or the rollback target while the breaker is open).
 
         In-flight work is untouched — the old session (and its pinned
-        pool) stays fully usable; it is simply retired from rotation.
+        pool) stays fully usable; it is simply retired.
         Comparing against the *expected target* version (not bare
-        ``is_current``) keeps a rolled-back worker from thrashing: while
+        ``is_current``) keeps a rolled-back session from thrashing: while
         the current catalog version is bad, a session pinned to the
         last-known-good snapshot is already where it should be.
 
@@ -499,7 +511,7 @@ class EstimationService:
         snapshot = session.snapshot
         if snapshot is None:
             return
-        with self._sessions_lock:
+        with self._session_lock:
             if snapshot.version not in self._bad_versions:
                 self._last_good = snapshot
 
@@ -509,10 +521,10 @@ class EstimationService:
         batch: list[_Pending],
         fault: EstimationFault | None,
     ) -> None:
-        """A worker died mid-batch: salvage its work and its telemetry.
+        """A batch faulted mid-flight: salvage its work and telemetry.
 
         Unanswered requests are re-queued (bounded by
-        ``ServiceConfig.requeue_limit``) so another worker can serve
+        ``HealingConfig.requeue_limit``) so the next session can serve
         them; past the bound — or once the queue is closed — they are
         failed with a typed :class:`ServiceError`.  The fault counts
         against the per-snapshot circuit breaker; on trip the snapshot
@@ -552,7 +564,7 @@ class EstimationService:
     def _trip_snapshot(self, version: int) -> None:
         """The breaker tripped on ``version``: mark it bad so fresh
         sessions pin the last-known-good snapshot instead."""
-        with self._sessions_lock:
+        with self._session_lock:
             self._bad_versions.add(version)
             rollback = (
                 self._last_good is not None
@@ -562,29 +574,22 @@ class EstimationService:
             with self._metrics_lock:
                 self.metrics.counter("resilience.snapshot_rollbacks").inc()
 
-    def _respawn_worker(self) -> None:
-        """Resurrect a crashed worker, bounded by ``max_worker_restarts``.
+    def _restart(self) -> bool:
+        """Spend one unit of the ``max_worker_restarts`` budget before the
+        serving thread pins a fresh session after a fault.
 
-        No respawn happens once the service is closing — the remaining
-        queue is flushed by :meth:`close` — or once the restart budget is
-        spent (which bounds a crash loop against a poisoned snapshot).
+        Returns ``False`` — the thread exits — once the service is
+        closing (:meth:`close` flushes the remaining queue) or the budget
+        is spent (which bounds a crash loop against a poisoned snapshot).
         """
         if self._closed.is_set() or self._queue.closed:
-            return
-        with self._workers_lock:
-            if self._restarts >= self.config.healing.max_worker_restarts:
-                return
-            self._restarts += 1
-            index = len(self._workers)
-            worker = threading.Thread(
-                target=self._worker_loop,
-                name=f"{self.name}-worker-r{index}",
-                daemon=True,
-            )
-            self._workers.append(worker)
+            return False
+        if self._restarts >= self.config.healing.max_worker_restarts:
+            return False
+        self._restarts += 1
         with self._metrics_lock:
             self.metrics.counter("resilience.worker_restarts").inc()
-        worker.start()
+        return True
 
     def _serve_batch(
         self, session: EstimationSession, batch: list[_Pending]
@@ -592,9 +597,9 @@ class EstimationService:
         session.assert_pinned()
         plan = _fault_plan()
         if plan is not None:
-            # worker-batch injection point: the worker thread dies right
-            # as it starts executing a micro-batch (chaos tests exercise
-            # the requeue + resurrection path through this)
+            # worker-batch injection point: the serving thread faults
+            # right as it starts executing a micro-batch (chaos tests
+            # exercise the requeue + restart path through this)
             plan.check(
                 POINT_WORKER_BATCH,
                 detail=f"version={session.snapshot_version}",
@@ -703,10 +708,10 @@ class EstimationService:
         return self._closed.is_set()
 
     def close(self, drain: bool = True, timeout: float | None = None) -> bool:
-        """Stop admission and shut the pool down.
+        """Stop admission and shut the serving thread down.
 
         With ``drain=True`` (default) every already-admitted request is
-        still served (or deadline-shed) before the workers exit; with
+        still served (or deadline-shed) before the thread exits; with
         ``drain=False`` the backlog is flushed immediately with
         :class:`ServiceClosed`.  Returns ``True`` on a clean shutdown
         within the timeout.  Idempotent.
@@ -725,11 +730,8 @@ class EstimationService:
                     pending.future.set_exception(
                         ServiceClosed("service closed before serving")
                     )
-        with self._workers_lock:
-            workers = list(self._workers)
-        for worker in workers:
-            worker.join(timeout=timeout)
-            clean = clean and not worker.is_alive()
+        self._worker.join(timeout=timeout)
+        clean = clean and not self._worker.is_alive()
         tuning = self._tuning_thread
         if tuning is not None and tuning.is_alive():
             tuning.join(timeout=timeout)
@@ -747,23 +749,33 @@ class EstimationService:
     # ------------------------------------------------------------------
     def metrics_registry(self) -> MetricsRegistry:
         """Service counters plus the merged telemetry of every session
-        the pool has used (active and retired)."""
+        the service has used (current and retired)."""
         registry = MetricsRegistry()
         with self._metrics_lock:
             registry.merge(self.metrics)
         registry.gauge("service.queue_depth").set(float(len(self._queue)))
-        with self._workers_lock:
-            alive = sum(1 for worker in self._workers if worker.is_alive())
-        registry.gauge("service.workers").set(float(alive))
+        registry.gauge("service.workers").set(
+            1.0 if self._worker.is_alive() else 0.0
+        )
         registry.gauge("service.closed").set(1.0 if self.closed else 0.0)
-        with self._sessions_lock:
-            sessions = list(self._sessions)
+        with self._session_lock:
+            session = self._session
             registry.merge(self._retired_registry)
-            registry.gauge("service.active_sessions").set(
-                float(len(sessions))
-            )
-        for session in sessions:
+        if session is not None:
             registry.merge(session.metrics_registry())
+        # plan-cache totals sum across sessions; the merged hit_rate gauge
+        # is only the last session's, so derive it from the sums
+        totals = {
+            instrument.name: instrument.value
+            for instrument in registry
+            if instrument.name in ("plan_cache.hits", "plan_cache.misses")
+        }
+        if totals:
+            hits = totals.get("plan_cache.hits", 0.0)
+            lookups = hits + totals.get("plan_cache.misses", 0.0)
+            registry.gauge("plan_cache.hit_rate").set(
+                hits / lookups if lookups else 0.0
+            )
         breaker = self._breaker.as_dict()
         registry.counter("resilience.breaker_trips").inc(
             breaker.get("breaker_trips", 0.0)
@@ -784,14 +796,12 @@ class EstimationService:
 
     def stats_snapshot(self) -> StatsSnapshot:
         """The unified snapshot: request-path state under ``service``,
-        worker-session cache/catalog telemetry under the usual
-        namespaces."""
+        session cache/catalog telemetry under the usual namespaces."""
         return StatsSnapshot.from_registry(
             self.metrics_registry(),
             meta={
                 "subsystem": "service",
                 "name": self.name,
-                "workers": len(self._workers),
                 "queue_depth_limit": self.config.queue_depth,
                 "max_batch": self.config.max_batch,
                 "engine": self._engine,

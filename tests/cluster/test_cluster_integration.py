@@ -75,7 +75,6 @@ def test_cluster_parity_through_swap_and_ejection(
             replicas=1,
             hedge_delay_s=0.2,
             breaker_threshold=1,
-            shard_workers=1,
         )
     )
     cluster = EstimationCluster(cluster_catalog, config=config)

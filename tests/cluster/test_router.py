@@ -237,10 +237,15 @@ class TestHedging:
         with make_cluster(
             cluster_catalog, links, hedge_delay_s=30.0
         ) as cluster:
-            cluster.submit(cluster_queries[0])
+            future = cluster.submit(cluster_queries[0])
             time.sleep(0.05)
             total = sum(len(link.requests()) for link in links)
             assert total == 1  # the primary only
+            # answer it, so closing the cluster has nothing to drain
+            link = next(link for link in links if link.requests())
+            payload, primary = link.requests()[0]
+            primary.set_result(link.ok_response(payload))
+            future.result(timeout=5.0)
 
     def test_hedge_to_ring_successor_without_replicas(
         self, cluster_catalog, cluster_queries
@@ -267,6 +272,10 @@ class TestHedging:
                 if not payload.get("hedge")
             )
             assert hedged[0][0].shard_id != primary.shard_id
+            # answer both, so closing the cluster has nothing to drain
+            for link in links:
+                for payload, pending in link.requests():
+                    pending.set_result(link.ok_response(payload))
 
     def test_typed_error_waits_for_inflight_hedge(
         self, cluster_catalog, cluster_queries

@@ -220,6 +220,25 @@ class TestMemoBank:
         # the post-bump run re-solved every submask itself
         assert len(algorithm._memo) >= 3
 
+    def test_shape_answered_from_the_bank_compiles(
+        self, two_table_db, two_table_pool, shapes
+    ):
+        """A sub-problem the DP answers from the bank reaches the memo
+        without its sub-entries; the plan compiler finds those in the
+        bank, so the shape is cached instead of re-running the DP."""
+        estimator = SITEstimator(
+            two_table_db, two_table_pool, NIndError(), plan_cache=True
+        )
+        estimator.estimate_predicates(shapes[3])  # banks join + R.a
+        estimator.reset()  # a new query, as a session's begin_query does
+        first = estimator.estimate_predicates(shapes[1])
+        assert estimator.algorithm.memo_bank_hits > 0
+        estimator.reset()
+        again = estimator.estimate_predicates(shapes[1])
+        assert not first.plan_cache_hit
+        assert again.plan_cache_hit
+        assert again == first
+
     def test_disable_drops_the_bank(self, two_table_pool, shapes):
         algorithm = GetSelectivity(two_table_pool, NIndError())
         algorithm.enable_memo_bank()

@@ -35,9 +35,7 @@ def wait_until(predicate, timeout=5.0, interval=0.01) -> bool:
 @pytest.fixture()
 def config() -> ServiceConfig:
     return ServiceConfig(
-        workers=1,
         queue_depth=64,
-        batch_window_s=0.01,
         healing=HealingConfig(
             breaker_threshold=2,
             breaker_window_s=30.0,
@@ -64,8 +62,6 @@ class TestWorkerResurrection:
 
     def test_requeue_budget_bounds_a_crash_loop(self, catalog):
         config = ServiceConfig(
-            workers=1,
-            batch_window_s=0.005,
             healing=HealingConfig(
                 requeue_limit=1,
                 breaker_threshold=100,  # keep the breaker out of this test
@@ -80,8 +76,6 @@ class TestWorkerResurrection:
 
     def test_restart_budget_bounds_resurrections(self, catalog):
         config = ServiceConfig(
-            workers=1,
-            batch_window_s=0.005,
             healing=HealingConfig(
                 requeue_limit=0,
                 breaker_threshold=100,
@@ -166,12 +160,12 @@ class TestFaultPathLeaks:
     def test_hot_swap_releases_retired_sessions(self, catalog):
         """The hot-swap leak regression: a retired session (and through
         it the pinned pool) must be garbage, not accumulate forever."""
-        config = ServiceConfig(workers=1, batch_window_s=0.005)
+        config = ServiceConfig()
         service = EstimationService(catalog, config=config)
         try:
             service.estimate(SQL, timeout=None)
-            wait_until(lambda: len(service._sessions) == 1)
-            retired_ref = weakref.ref(service._sessions[0])
+            wait_until(lambda: service._session is not None)
+            retired_ref = weakref.ref(service._session)
             catalog.notify_table_update("R")
             service.estimate(SQL, timeout=None)  # forces the swap
             wait_until(lambda: retired_ref() is None or gc.collect() is None)
@@ -180,7 +174,7 @@ class TestFaultPathLeaks:
             # telemetry of the retired session survives retirement
             counters = service.stats_snapshot().namespace("counters")
             assert counters["queries"] >= 2.0
-            assert len(service._sessions) == 1
+            assert service._session is not None
         finally:
             service.close()
 
@@ -188,8 +182,8 @@ class TestFaultPathLeaks:
         with armed(crash_plan(max_fires=1)):
             service = EstimationService(catalog, config=config)
             try:
-                wait_until(lambda: len(service._sessions) == 1)
-                doomed_ref = weakref.ref(service._sessions[0])
+                wait_until(lambda: service._session is not None)
+                doomed_ref = weakref.ref(service._session)
                 service.estimate(SQL, timeout=None)
                 gc.collect()
                 assert doomed_ref() is None, "crashed session leaked"
@@ -199,9 +193,7 @@ class TestFaultPathLeaks:
     def test_queue_depth_returns_to_zero_after_shed_storm(self, catalog):
         from repro.service import Overloaded
 
-        config = ServiceConfig(
-            workers=1, queue_depth=2, batch_window_s=0.005
-        )
+        config = ServiceConfig(queue_depth=2)
         service = EstimationService(catalog, config=config)
         try:
             shed = 0
@@ -223,8 +215,6 @@ class TestFaultPathLeaks:
 
     def test_close_drain_flushes_everything_after_faults(self, catalog):
         config = ServiceConfig(
-            workers=2,
-            batch_window_s=0.005,
             healing=HealingConfig(requeue_limit=1, max_worker_restarts=4),
         )
         with armed(crash_plan(max_fires=2, probability=1.0)):
@@ -236,7 +226,7 @@ class TestFaultPathLeaks:
                 exc = future.exception()
                 assert exc is None or isinstance(exc, ServiceError)
             # all sessions retired on shutdown — nothing pinned
-            assert service._sessions == []
+            assert service._session is None
 
 
 class TestDegradationOverTheService:
@@ -252,7 +242,7 @@ class TestDegradationOverTheService:
             ],
             seed=0,
         )
-        config = ServiceConfig(workers=1, batch_window_s=0.005)
+        config = ServiceConfig()
         with armed(plan):
             with EstimationService(catalog, config=config) as service:
                 answer = service.estimate(SQL, timeout=None)

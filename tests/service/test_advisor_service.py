@@ -10,9 +10,7 @@ from repro.advisor.loop import ACCEPTED
 from repro.service import EstimationService, ServiceConfig
 
 TUNED = ServiceConfig(
-    workers=1,
     queue_depth=64,
-    batch_window_s=0.001,
     advisor=AdvisorConfig(min_feedback=4, min_interval_s=3600.0),
 )
 
@@ -20,7 +18,6 @@ TUNED = ServiceConfig(
 class TestServiceConfigNesting:
     def test_round_trip_with_advisor_block(self):
         config = ServiceConfig(
-            workers=2,
             advisor=AdvisorConfig(max_q_error=9.0, space_budget_bytes=512.0),
         )
         payload = config.to_dict()
@@ -29,7 +26,7 @@ class TestServiceConfigNesting:
         assert restored.advisor == config.advisor
 
     def test_round_trip_without_advisor_block(self):
-        config = ServiceConfig(workers=2)
+        config = ServiceConfig()
         payload = config.to_dict()
         assert payload["advisor"] is None
         assert ServiceConfig.from_dict(payload).advisor is None

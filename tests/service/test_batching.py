@@ -1,5 +1,9 @@
-"""Micro-batching semantics: coalescing, dedup and cross-request factor
-sharing, asserted through StatsSnapshot telemetry."""
+"""Batching semantics: coalescing, dedup and cross-request factor
+sharing, asserted through StatsSnapshot telemetry.
+
+The serving thread batches whatever is queued when it dequeues; tests
+that assert one batch hold it (the ``hold_worker`` fixture) until the
+whole burst is queued."""
 
 from __future__ import annotations
 
@@ -8,17 +12,13 @@ import pytest
 from repro.catalog import EstimationSession
 from repro.service import EstimationService, ServiceConfig
 
-#: a wide-open batching window so one submit burst lands in one batch
-COALESCING = ServiceConfig(
-    workers=1, queue_depth=64, batch_window_s=0.5, max_batch=64
-)
+#: room for a whole submit burst in one batch
+COALESCING = ServiceConfig(queue_depth=64, max_batch=64)
 
 #: same, with the compiled-plan cache off — for tests that assert the
 #: factor-match sharing a plan replay intentionally never exercises
 COALESCING_NO_PLAN_CACHE = ServiceConfig(
-    workers=1,
     queue_depth=64,
-    batch_window_s=0.5,
     max_batch=64,
     plan_cache=False,
 )
@@ -26,7 +26,7 @@ COALESCING_NO_PLAN_CACHE = ServiceConfig(
 
 class TestFactorSharing:
     def test_batch_of_k_does_less_matcher_work_than_k_sessions(
-        self, service_catalog, factor_sharing_queries
+        self, service_catalog, factor_sharing_queries, hold_worker
     ):
         """The satellite gate: a batch of K factor-sharing queries costs
         fewer matcher calls than K isolated sessions, because the
@@ -53,6 +53,7 @@ class TestFactorSharing:
             service_catalog, config=COALESCING_NO_PLAN_CACHE
         ) as service:
             futures = [service.submit(query) for query in queries]
+            hold_worker()
             answers = [future.result(timeout=30.0) for future in futures]
             stats = service.stats_snapshot()
 
@@ -82,7 +83,7 @@ class TestFactorSharing:
 
 class TestDeduplication:
     def test_identical_requests_share_one_dp_run(
-        self, service_catalog, join_query
+        self, service_catalog, join_query, hold_worker
     ):
         k = 8
         # what one isolated request costs in logical matcher invocations
@@ -92,6 +93,7 @@ class TestDeduplication:
 
         with EstimationService(service_catalog, config=COALESCING) as service:
             futures = [service.submit(join_query) for _ in range(k)]
+            hold_worker()
             answers = [future.result(timeout=30.0) for future in futures]
             stats = service.stats_snapshot()
 
@@ -107,11 +109,12 @@ class TestDeduplication:
         assert sum(answer.deduplicated for answer in answers) == k - 1
 
     def test_mixed_batch_dedups_only_identical_sets(
-        self, service_catalog, factor_sharing_queries
+        self, service_catalog, factor_sharing_queries, hold_worker
     ):
         queries = factor_sharing_queries[:3] * 2  # each template twice
         with EstimationService(service_catalog, config=COALESCING) as service:
             futures = [service.submit(query) for query in queries]
+            hold_worker()
             for future in futures:
                 future.result(timeout=30.0)
             stats = service.stats_snapshot()
@@ -122,17 +125,16 @@ class TestDeduplication:
 
 class TestShapeGroupBatching:
     def test_same_shape_batch_replays_as_one_group(
-        self, service_catalog, factor_sharing_queries
+        self, service_catalog, factor_sharing_queries, hold_worker
     ):
         """Same-shape (not just identical) requests share one compiled
         plan: the first instance compiles, the rest of the batch — and
         all of the next batch — replay without touching the matcher."""
         queries = factor_sharing_queries
         with EstimationService(service_catalog, config=COALESCING) as service:
-            first = [
-                future.result(timeout=30.0)
-                for future in [service.submit(query) for query in queries]
-            ]
+            futures = [service.submit(query) for query in queries]
+            hold_worker()
+            first = [future.result(timeout=30.0) for future in futures]
             second = [
                 future.result(timeout=30.0)
                 for future in [service.submit(query) for query in queries]
@@ -173,16 +175,12 @@ class TestShapeGroupBatching:
 class TestBatchLimits:
     @pytest.mark.parametrize("max_batch", [1, 2])
     def test_max_batch_caps_coalescing(
-        self, service_catalog, join_query, max_batch
+        self, service_catalog, join_query, max_batch, hold_worker
     ):
-        config = ServiceConfig(
-            workers=1,
-            queue_depth=64,
-            batch_window_s=0.05,
-            max_batch=max_batch,
-        )
+        config = ServiceConfig(queue_depth=64, max_batch=max_batch)
         with EstimationService(service_catalog, config=config) as service:
             futures = [service.submit(join_query) for _ in range(4)]
+            hold_worker()
             answers = [future.result(timeout=30.0) for future in futures]
             stats = service.stats_snapshot()
         assert all(answer.batch_size <= max_batch for answer in answers)

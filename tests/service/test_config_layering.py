@@ -1,6 +1,6 @@
 """Layered configuration: per-layer validation (the bugfix — the old
-flat config silently accepted nonsense knobs), from_dict/to_dict round
-trips, and the one-release legacy shims."""
+flat config silently accepted nonsense knobs) and from_dict/to_dict
+round trips."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ class TestServiceValidation:
     @pytest.mark.parametrize(
         ("field", "value"),
         [
-            ("workers", 0),
             ("queue_depth", 0),
             ("max_batch", 0),
-            ("batch_window_s", -0.001),
             ("default_timeout_s", 0.0),
             ("drain_timeout_s", -1.0),
             ("host", ""),
@@ -30,10 +28,7 @@ class TestServiceValidation:
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
 
-    def test_zero_batch_window_is_legal(self):
-        # 0 disables coalescing; the old validator wrongly conflated it
-        # with the negative case
-        assert ServiceConfig(batch_window_s=0.0).batch_window_s == 0.0
+    def test_zero_drain_timeout_is_legal(self):
         assert ServiceConfig(drain_timeout_s=0.0).drain_timeout_s == 0.0
 
     def test_nested_layers_are_type_checked(self):
@@ -68,7 +63,6 @@ class TestClusterValidation:
             ("hedge_factor", 0.0),
             ("min_hedge_delay_s", -0.001),
             ("ring_points", 0),
-            ("shard_workers", 0),
             ("breaker_threshold", 0),
             ("breaker_window_s", 0.0),
             ("startup_timeout_s", 0.0),
@@ -90,8 +84,7 @@ class TestRoundTrip:
 
     def test_full_cluster_deployment_fits_in_one_json_file(self):
         config = ServiceConfig(
-            workers=4,
-            batch_window_s=0.0,
+            max_batch=8,
             healing=HealingConfig(breaker_threshold=5, requeue_limit=0),
             cluster=ClusterConfig(
                 shards=4, replicas=2, hedge_delay_s=0.25, ring_points=128
@@ -124,45 +117,31 @@ class TestRoundTrip:
 
 
 class TestLegacyShims:
-    def test_flat_kwargs_fold_into_healing(self):
-        with pytest.deprecated_call(match="deprecated"):
-            config = ServiceConfig(breaker_threshold=7, requeue_limit=1)
-        assert config.healing.breaker_threshold == 7
-        assert config.healing.requeue_limit == 1
-        # untouched healing knobs keep their defaults
-        assert config.healing.max_worker_restarts == 8
+    """The flat healing spelling and the removed serving knobs are
+    unknown keys now, with no compatibility shim."""
 
-    def test_flat_kwargs_conflict_with_nested(self):
-        with pytest.raises(TypeError, match="not both"), pytest.warns(
-            DeprecationWarning
-        ):
-            ServiceConfig(
-                breaker_threshold=7, healing=HealingConfig()
-            )
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"workers": 2},
+            {"batch_window_s": 0.002},
+            {"breaker_threshold": 4},
+            {"cluster": {"shard_workers": 1}},
+        ],
+    )
+    def test_removed_keys_are_unknown(self, data):
+        with pytest.raises(ValueError, match="unknown"):
+            ServiceConfig.from_dict(data)
 
-    def test_flat_attribute_reads_warn_but_work(self):
-        config = ServiceConfig(healing=HealingConfig(breaker_threshold=9))
-        with pytest.deprecated_call(match="healing.breaker_threshold"):
-            assert config.breaker_threshold == 9
-        with pytest.deprecated_call():
-            assert config.breaker_window_s == 30.0
-        with pytest.deprecated_call():
-            assert config.requeue_limit == 2
-        with pytest.deprecated_call():
-            assert config.max_worker_restarts == 8
-
-    def test_flat_dict_keys_fold_into_healing(self):
-        with pytest.deprecated_call(match="nest them under 'healing'"):
-            config = ServiceConfig.from_dict({"breaker_threshold": 4})
-        assert config.healing.breaker_threshold == 4
-
-    def test_flat_dict_keys_conflict_with_nested(self):
-        with pytest.raises(ValueError, match="both"), pytest.warns(
-            DeprecationWarning
-        ):
-            ServiceConfig.from_dict(
-                {"breaker_threshold": 4, "healing": {"breaker_threshold": 4}}
-            )
+    def test_removed_kwargs_are_rejected(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(workers=2)
+        with pytest.raises(TypeError):
+            ServiceConfig(batch_window_s=0.002)
+        with pytest.raises(TypeError):
+            ServiceConfig(breaker_threshold=7)
+        with pytest.raises(TypeError):
+            ClusterConfig(shard_workers=1)
 
     def test_modern_spelling_is_warning_free(self, recwarn):
         config = ServiceConfig(

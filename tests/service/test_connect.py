@@ -17,7 +17,7 @@ from repro.service.server import start_in_thread
 
 @pytest.fixture()
 def service(service_catalog):
-    svc = EstimationService(service_catalog, config=ServiceConfig(workers=1))
+    svc = EstimationService(service_catalog, config=ServiceConfig())
     yield svc
     svc.close()
 
@@ -37,10 +37,10 @@ class TestConnectDispatch:
         self, service_catalog, join_query
     ):
         with connect(
-            service_catalog, config=ServiceConfig(workers=1)
+            service_catalog, config=ServiceConfig(queue_depth=16)
         ) as client:
             assert isinstance(client, InProcessClient)
-            assert client.service.config.workers == 1
+            assert client.service.config.queue_depth == 16
             assert client.estimate(join_query).selectivity > 0.0
         # owned: close shut the private service down
         with pytest.raises(Exception):

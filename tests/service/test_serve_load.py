@@ -28,8 +28,6 @@ def test_load_generator_end_to_end(tmp_path):
                 "60",
                 "--clients",
                 "4",
-                "--workers",
-                "1",
             ]
         )
         == 0

@@ -4,6 +4,7 @@ wire, pipelining, stats."""
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
@@ -24,7 +25,7 @@ SQL = "SELECT * FROM R, S WHERE R.x = S.y AND R.a BETWEEN 10 AND 40"
 def server(service_catalog):
     service = EstimationService(
         service_catalog,
-        config=ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.05),
+        config=ServiceConfig(queue_depth=64),
     )
     handle = start_in_thread(service, port=0)  # ephemeral port
     try:
@@ -103,19 +104,33 @@ class TestWireFailures:
 
 
 class TestPipelining:
-    def test_burst_on_one_connection_is_pipelined(self, server):
+    def test_burst_on_one_connection_is_pipelined(
+        self, service_catalog, hold_worker
+    ):
         """N requests written back-to-back all get answered; responses
         correlate on id (order may differ — that is the point)."""
-        host, port = server.address
+        service = EstimationService(
+            service_catalog, config=ServiceConfig(queue_depth=64)
+        )
         n = 6
-        with socket.create_connection((host, port), timeout=30.0) as sock:
-            reader = sock.makefile("rb")
-            burst = b"".join(
-                encode_line({"id": str(index), "sql": SQL})
-                for index in range(n)
-            )
-            sock.sendall(burst)
-            responses = [decode_line(reader.readline()) for _ in range(n)]
+        with start_in_thread(service, port=0) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=30.0) as sock:
+                reader = sock.makefile("rb")
+                burst = b"".join(
+                    encode_line({"id": str(index), "sql": SQL})
+                    for index in range(n)
+                )
+                sock.sendall(burst)
+                # the whole burst is admitted before the thread dequeues
+                deadline = time.monotonic() + 10.0
+                while service.queue_depth < n:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                hold_worker()
+                responses = [
+                    decode_line(reader.readline()) for _ in range(n)
+                ]
         assert {response["id"] for response in responses} == {
             str(index) for index in range(n)
         }

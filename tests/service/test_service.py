@@ -22,7 +22,7 @@ from repro.service.protocol import (
     ServiceClosed,
 )
 
-FAST = ServiceConfig(workers=1, queue_depth=64, batch_window_s=0.001)
+FAST = ServiceConfig(queue_depth=64)
 
 
 def direct_answer(database, snapshot, query: Query):
@@ -112,7 +112,7 @@ class TestAdmissionControl:
 
         monkeypatch.setattr(EstimationSession, "estimate", gated)
         config = ServiceConfig(
-            workers=1, queue_depth=1, batch_window_s=0.0, max_batch=1
+            queue_depth=1, max_batch=1
         )
         service = EstimationService(service_catalog, config=config)
         try:
@@ -188,7 +188,7 @@ class TestLifecycle:
 
         monkeypatch.setattr(EstimationSession, "estimate", gated)
         config = ServiceConfig(
-            workers=1, queue_depth=8, batch_window_s=0.0, max_batch=1
+            queue_depth=8, max_batch=1
         )
         service = EstimationService(service_catalog, config=config)
         stalled = service.submit(join_query)
@@ -225,6 +225,25 @@ class TestObservability:
         assert snapshot.counters["queries"] >= len(factor_sharing_queries)
         assert snapshot.to_dict()["service"] == stats
 
+    def test_plan_cache_totals_survive_snapshot_swaps(
+        self, service_catalog, factor_sharing_queries
+    ):
+        """Retired sessions' plan-cache counts stay in the service's
+        totals, and ``hit_rate`` is derived from those totals."""
+        answers = []
+        with EstimationService(service_catalog, config=FAST) as service:
+            for _ in range(3):
+                for query in factor_sharing_queries:
+                    answers.append(service.estimate(query))
+                service_catalog.notify_table_update("R")
+            stats = service.stats_snapshot()
+        assert stats.service["snapshot_swaps"] >= 2.0
+        hits = sum(answer.plan_cache_hit for answer in answers)
+        assert hits > 0
+        assert stats.plan_cache["hits"] == float(hits)
+        assert stats.plan_cache["misses"] == float(len(answers) - hits)
+        assert stats.plan_cache["hit_rate"] == hits / len(answers)
+
     def test_queue_depth_gauge_tracks_backlog(
         self, service_catalog, join_query, monkeypatch
     ):
@@ -237,7 +256,7 @@ class TestObservability:
 
         monkeypatch.setattr(EstimationSession, "estimate", gated)
         config = ServiceConfig(
-            workers=1, queue_depth=8, batch_window_s=0.0, max_batch=1
+            queue_depth=8, max_batch=1
         )
         service = EstimationService(service_catalog, config=config)
         try:
